@@ -443,7 +443,7 @@ BENCHMARK(BM_PolicyForward)->Arg(8)->Arg(24);
 // of this build + CPU (identical to scalar when neither provides one). The
 // speedup table is the ratio of each /0/... row to its /1/... twin.
 
-// Packed GEMM at policy-head scale, swept over the batched row count.
+// Packed GEMM at policy-head scale, swept over the row count.
 void BM_LinearForward(benchmark::State& state) {
     const bool simd_on = state.range(0) != 0;
     const int rows = static_cast<int>(state.range(1));
@@ -469,54 +469,6 @@ void BM_LinearForward(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearForward)->Args({0, 1})->Args({1, 1})->Args({0, 8})->Args({1, 8})
     ->Args({0, 32})->Args({1, 32});
-
-// Full policy evaluation over a wave of clips: the /0 row issues one
-// single-clip packed forward per clip on the scalar kernels (the pre-PR
-// serving shape); the /1 row one batched forward over all clips on the SIMD
-// kernels — the tentpole speedup the README table quotes.
-void BM_BatchedInfer(benchmark::State& state) {
-    const bool batched_simd = state.range(0) != 0;
-    const int clips = static_cast<int>(state.range(1));
-    constexpr int kNodes = 8;
-    core::PolicyConfig cfg;
-    cfg.squish_size = 32;
-    core::PolicyNetwork net(cfg);
-
-    core::Graph g;
-    g.n = kNodes;
-    g.neighbors.assign(kNodes, {});
-    for (int i = 0; i + 1 < kNodes; ++i) {
-        g.neighbors[static_cast<std::size_t>(i)].push_back(i + 1);
-        g.neighbors[static_cast<std::size_t>(i + 1)].push_back(i);
-    }
-    Rng rng(1);
-    std::vector<std::vector<nn::Tensor>> feats(static_cast<std::size_t>(clips));
-    for (auto& clip_feats : feats) {
-        for (int i = 0; i < kNodes; ++i) {
-            nn::Tensor t({6, 32, 32});
-            for (float& v : t.data()) v = static_cast<float>(rng.uniform(0, 1));
-            clip_feats.push_back(std::move(t));
-        }
-    }
-    std::vector<core::PolicyNetwork::ClipRequest> requests;
-    for (const auto& clip_feats : feats) requests.push_back({&clip_feats, &g});
-
-    simd::ScopedOverride force(batched_simd ? simd::detected_level() : simd::Level::kScalar);
-    for (auto _ : state) {
-        if (batched_simd) {
-            const std::vector<nn::Tensor> logits = net.infer_batch(requests);
-            benchmark::DoNotOptimize(logits.data());
-        } else {
-            for (const auto& clip_feats : feats) {
-                const nn::Tensor logits = net.infer(clip_feats, g);
-                benchmark::DoNotOptimize(logits.data().data());
-            }
-        }
-    }
-    state.SetItemsProcessed(state.iterations() * clips * kNodes);
-    state.SetLabel(simd::level_name(simd::active_level()));
-}
-BENCHMARK(BM_BatchedInfer)->Args({0, 8})->Args({1, 8})->Args({0, 32})->Args({1, 32});
 
 // The two SupportApplicator hot loops (litho/incremental.cpp) in isolation:
 // per SOCS kernel, multiply the delta spectrum by the kernel coefficients

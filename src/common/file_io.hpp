@@ -28,6 +28,10 @@ public:
         write_bytes(v.data(), v.size() * sizeof(T));
     }
 
+    /// Flush and close the file. Buffered write errors (a full disk) only
+    /// surface here, so writers check ok() after close(), not before.
+    void close() { out_.close(); }
+
     [[nodiscard]] bool ok() const { return static_cast<bool>(out_); }
 
 private:

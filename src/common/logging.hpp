@@ -53,6 +53,14 @@ inline void log_info(const std::string& msg) {
     }
 }
 
+/// Problems the run recovers from but the user must hear about (a rejected
+/// cache file, weights that could not be stored). Printed at every level:
+/// quiet silences progress, not problems.
+inline void log_warn(const std::string& msg) {
+    std::fprintf(stderr, "[camo:warn +%.3fs w%d] %s\n", elapsed_seconds(), stable_thread_id(),
+                 msg.c_str());
+}
+
 inline void log_debug(const std::string& msg) {
     if (log_level() >= LogLevel::kDebug) {
         std::fprintf(stderr, "[camo:debug +%.3fs w%d] %s\n", elapsed_seconds(),

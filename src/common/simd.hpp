@@ -60,7 +60,7 @@ struct Ops {
     /// logical width; `w`/`bias` are padded to out_padded). When
     /// `accumulate` is true the products fold into the existing y values
     /// and `bias` is ignored. Row r's accumulation order never depends on
-    /// `rows`, so a batched call is bitwise identical to `rows` single-row
+    /// `rows`, so a multi-row call is bitwise identical to `rows` single-row
     /// calls at every level.
     void (*gemm_blocked)(const float* w, const float* bias, const float* x, int rows, int in,
                          int out, int out_padded, float* y, bool accumulate);

@@ -8,10 +8,10 @@
 // Layout notes (the lc0 linear-backend idiom): weights are packed row-
 // blocked, w[(blk * in + i) * 8 + lane] = W[blk*8 + lane][i], so the inner
 // GEMV loop is one broadcast of x[i] FMA'd against a contiguous 8-float
-// column slice. The batched GEMM tiles 4 rows x 8 outputs into 4 registers;
-// each row keeps its own accumulator chain in ascending-i order, which is
-// what makes a batched call bitwise identical to the same rows run one by
-// one (the batched-inference equivalence contract).
+// column slice. The multi-row GEMM tiles 4 rows x 8 outputs into 4
+// registers; each row keeps its own accumulator chain in ascending-i order,
+// which is what makes a multi-row call bitwise identical to the same rows
+// run one by one (the row-equivalence contract).
 #include "common/simd.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__) && !defined(CAMO_SIMD_OFF)

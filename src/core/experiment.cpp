@@ -170,16 +170,27 @@ std::vector<geo::SegmentedLayout> fragment_metal_clips(const std::vector<layout:
 bool ensure_trained(CamoEngine& engine, const std::vector<geo::SegmentedLayout>& train_clips,
                     litho::LithoSim& sim, const opc::OpcOptions& opt,
                     const std::string& cache_path) {
-    if (!cache_path.empty() && file_exists(cache_path) && engine.load_weights(cache_path)) {
-        log_info(engine.name() + ": loaded cached weights from " + cache_path);
-        return true;
+    if (!cache_path.empty() && file_exists(cache_path)) {
+        if (engine.load_weights(cache_path)) {
+            log_info(engine.name() + ": loaded cached weights from " + cache_path);
+            return true;
+        }
+        log_warn(engine.name() + ": rejected cached weights " + cache_path +
+                 " (wrong format or architecture); retraining");
     }
     log_info(engine.name() + ": training (one-time, cached afterwards)");
     (void)engine.train(train_clips, sim, opt);
     if (!cache_path.empty()) {
-        const std::filesystem::path parent = std::filesystem::path(cache_path).parent_path();
-        if (!parent.empty()) std::filesystem::create_directories(parent);
-        engine.save_weights(cache_path);
+        // A failed store keeps the freshly trained in-memory weights; only
+        // the next run pays for the missing cache.
+        try {
+            const std::filesystem::path parent = std::filesystem::path(cache_path).parent_path();
+            if (!parent.empty()) std::filesystem::create_directories(parent);
+            engine.save_weights(cache_path);
+        } catch (const std::exception& e) {
+            log_warn(engine.name() + ": could not store weights at " + cache_path + ": " +
+                     e.what());
+        }
     }
     return false;
 }

@@ -63,7 +63,9 @@ std::vector<geo::SegmentedLayout> fragment_via_clips(const std::vector<layout::C
 std::vector<geo::SegmentedLayout> fragment_metal_clips(const std::vector<layout::Clip>& clips);
 
 /// Load cached weights if present; otherwise train and store them.
-/// Returns true when weights came from the cache.
+/// Returns true when weights came from the cache. A cached file that fails
+/// to load, and a store that fails, are logged as warnings with the path; a
+/// failed store keeps the trained in-memory weights instead of throwing.
 bool ensure_trained(CamoEngine& engine, const std::vector<geo::SegmentedLayout>& train_clips,
                     litho::LithoSim& sim, const opc::OpcOptions& opt,
                     const std::string& cache_path);

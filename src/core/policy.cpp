@@ -71,12 +71,6 @@ nn::Tensor PolicyNetwork::forward(const std::vector<nn::Tensor>& features, const
     return run_forward(features, graph, cache_);
 }
 
-nn::Tensor PolicyNetwork::infer(const std::vector<nn::Tensor>& features,
-                                const Graph& graph) const {
-    const ClipRequest req{&features, &graph};
-    return std::move(infer_batch({&req, 1}).front());
-}
-
 std::shared_ptr<const InferencePlan> PolicyNetwork::ensure_plan() const {
     const std::uint64_t version = weights_version_.load(std::memory_order_acquire);
     std::lock_guard<std::mutex> lock(plan_mu_);
@@ -102,162 +96,103 @@ std::shared_ptr<const InferencePlan> PolicyNetwork::ensure_plan() const {
     return plan;
 }
 
-std::vector<nn::Tensor> PolicyNetwork::infer_batch(std::span<const ClipRequest> clips) const {
+nn::Tensor PolicyNetwork::infer(const std::vector<nn::Tensor>& features,
+                                const Graph& graph) const {
+    const int n = static_cast<int>(features.size());
+    if (n == 0) throw std::invalid_argument("PolicyNetwork: empty node set");
+    if (graph.n != n) throw std::invalid_argument("PolicyNetwork: graph/feature size mismatch");
+
     const std::shared_ptr<const InferencePlan> plan = ensure_plan();
     const nn::Backend& be = nn::active_backend();
     const int S = cfg_.squish_size;
-    const int embed = cfg_.embed_dim;
-    const int hidden = cfg_.rnn_hidden;
-
-    // Node bookkeeping: clip c's nodes occupy global rows [start[c],
-    // start[c] + n_c) of every concatenated activation matrix.
-    std::vector<int> start(clips.size(), 0);
-    int total = 0;
-    for (std::size_t c = 0; c < clips.size(); ++c) {
-        const ClipRequest& req = clips[c];
-        if (req.features == nullptr || req.graph == nullptr) {
-            throw std::invalid_argument("PolicyNetwork::infer_batch: null request");
-        }
-        const int n = static_cast<int>(req.features->size());
-        if (n == 0) throw std::invalid_argument("PolicyNetwork: empty node set");
-        if (req.graph->n != n) {
-            throw std::invalid_argument("PolicyNetwork: graph/feature size mismatch");
-        }
-        start[c] = total;
-        total += n;
-    }
+    const std::size_t rows = static_cast<std::size_t>(n);
+    const std::size_t embed = static_cast<std::size_t>(cfg_.embed_dim);
+    const std::size_t hidden = static_cast<std::size_t>(cfg_.rnn_hidden);
 
     // Stage 1: shared CNN encoder per node (conv chain is per-sample), then
-    // the flatten->embed projection as ONE wide GEMM over all nodes.
+    // the flatten->embed projection as ONE GEMM over all nodes.
     const int s1 = plan->conv1.out_size(S);
     const int s2 = plan->conv2.out_size(s1);
     const int s3 = plan->conv3.out_size(s2);
     const std::size_t flat = static_cast<std::size_t>(plan->conv3.out_ch) *
                              static_cast<std::size_t>(s3) * static_cast<std::size_t>(s3);
     if (flat != static_cast<std::size_t>(plan->fc.in)) {
-        throw std::logic_error("PolicyNetwork::infer_batch: plan geometry mismatch");
+        throw std::logic_error("PolicyNetwork::infer: plan geometry mismatch");
     }
     std::vector<float> b1(static_cast<std::size_t>(plan->conv1.out_ch) *
                           static_cast<std::size_t>(s1) * static_cast<std::size_t>(s1));
     std::vector<float> b2(static_cast<std::size_t>(plan->conv2.out_ch) *
                           static_cast<std::size_t>(s2) * static_cast<std::size_t>(s2));
-    std::vector<float> flats(static_cast<std::size_t>(total) * flat);
-    int row = 0;
-    for (std::size_t c = 0; c < clips.size(); ++c) {
-        for (const nn::Tensor& f : *clips[c].features) {
-            if (f.rank() != 3 || f.dim(0) != plan->conv1.in_ch || f.dim(1) != S ||
-                f.dim(2) != S) {
-                throw std::invalid_argument("PolicyNetwork: bad squish feature shape");
-            }
-            float* out = flats.data() + static_cast<std::size_t>(row) * flat;
-            be.conv2d(plan->conv1, f.data().data(), S, S, b1.data());
-            relu_inplace(b1.data(), b1.size());
-            be.conv2d(plan->conv2, b1.data(), s1, s1, b2.data());
-            relu_inplace(b2.data(), b2.size());
-            be.conv2d(plan->conv3, b2.data(), s2, s2, out);
-            relu_inplace(out, flat);
-            ++row;
+    std::vector<float> flats(rows * flat);
+    for (std::size_t i = 0; i < rows; ++i) {
+        const nn::Tensor& f = features[i];
+        if (f.rank() != 3 || f.dim(0) != plan->conv1.in_ch || f.dim(1) != S || f.dim(2) != S) {
+            throw std::invalid_argument("PolicyNetwork: bad squish feature shape");
         }
+        float* out = flats.data() + i * flat;
+        be.conv2d(plan->conv1, f.data().data(), S, S, b1.data());
+        relu_inplace(b1.data(), b1.size());
+        be.conv2d(plan->conv2, b1.data(), s1, s1, b2.data());
+        relu_inplace(b2.data(), b2.size());
+        be.conv2d(plan->conv3, b2.data(), s2, s2, out);
+        relu_inplace(out, flat);
     }
-    std::vector<float> embeds(static_cast<std::size_t>(total) * static_cast<std::size_t>(embed));
-    be.linear(plan->fc, flats.data(), total, embeds.data());
+    std::vector<float> embeds(rows * embed);
+    be.linear(plan->fc, flats.data(), n, embeds.data());
     relu_inplace(embeds.data(), embeds.size());
 
     // Stage 2: GraphSAGE fusion — the concatenation and neighbour mean are
     // built exactly as the tape forward does (same accumulation order), the
-    // 2*embed -> embed projection is one wide GEMM.
+    // 2*embed -> embed projection is one GEMM.
     std::vector<float> fused;
     const float* fused_ptr = embeds.data();
     if (cfg_.use_gnn) {
-        std::vector<float> cat(static_cast<std::size_t>(total) * 2 *
-                                   static_cast<std::size_t>(embed),
-                               0.0F);
-        for (std::size_t c = 0; c < clips.size(); ++c) {
-            const Graph& graph = *clips[c].graph;
-            for (int i = 0; i < graph.n; ++i) {
-                const std::size_t g = static_cast<std::size_t>(start[c] + i);
-                float* crow = cat.data() + g * 2 * static_cast<std::size_t>(embed);
-                const float* e = embeds.data() + g * static_cast<std::size_t>(embed);
-                std::memcpy(crow, e, static_cast<std::size_t>(embed) * sizeof(float));
-                const auto& nbrs = graph.neighbors[static_cast<std::size_t>(i)];
-                if (nbrs.empty()) continue;
-                const float inv = 1.0F / static_cast<float>(nbrs.size());
-                for (int j : nbrs) {
-                    const float* ej = embeds.data() +
-                                      static_cast<std::size_t>(start[c] + j) *
-                                          static_cast<std::size_t>(embed);
-                    for (int d = 0; d < embed; ++d) {
-                        crow[static_cast<std::size_t>(embed + d)] +=
-                            inv * ej[static_cast<std::size_t>(d)];
-                    }
-                }
+        std::vector<float> cat(rows * 2 * embed, 0.0F);
+        for (std::size_t i = 0; i < rows; ++i) {
+            float* crow = cat.data() + i * 2 * embed;
+            std::memcpy(crow, embeds.data() + i * embed, embed * sizeof(float));
+            const auto& nbrs = graph.neighbors[i];
+            if (nbrs.empty()) continue;
+            const float inv = 1.0F / static_cast<float>(nbrs.size());
+            for (int j : nbrs) {
+                const float* ej = embeds.data() + static_cast<std::size_t>(j) * embed;
+                for (std::size_t d = 0; d < embed; ++d) crow[embed + d] += inv * ej[d];
             }
         }
-        fused.resize(static_cast<std::size_t>(total) * static_cast<std::size_t>(embed));
-        be.linear(plan->sage, cat.data(), total, fused.data());
+        fused.resize(rows * embed);
+        be.linear(plan->sage, cat.data(), n, fused.data());
         relu_inplace(fused.data(), fused.size());
         fused_ptr = fused.data();
     }
 
     // Stage 3: sequential decision context. The RNN recurrence is inherently
-    // per-clip and per-step; the input contribution U x_t + b is batched over
-    // the whole sequence, then the recurrence W h_{t-1} resumes each row's
-    // accumulator (bit-identical to the tape cell's single fused sum under
-    // the scalar backend).
-    std::vector<float> ctx(static_cast<std::size_t>(total) * static_cast<std::size_t>(hidden));
+    // per-step; the input contribution U x_t + b is one GEMM over the whole
+    // sequence, then the recurrence W h_{t-1} resumes each row's accumulator
+    // (bit-identical to the tape cell's single fused sum under the scalar
+    // backend).
+    std::vector<float> ctx;
     if (cfg_.use_rnn) {
-        for (std::size_t c = 0; c < clips.size(); ++c) {
-            const int n = clips[c].graph->n;
-            std::vector<float> seq(fused_ptr + static_cast<std::size_t>(start[c]) *
-                                                   static_cast<std::size_t>(embed),
-                                   fused_ptr + static_cast<std::size_t>(start[c] + n) *
-                                                   static_cast<std::size_t>(embed));
-            for (const InferencePlan::RnnCell& cell : plan->rnn) {
-                std::vector<float> h(static_cast<std::size_t>(n) *
-                                     static_cast<std::size_t>(hidden));
-                be.linear(cell.u, seq.data(), n, h.data());
-                for (int t = 0; t < n; ++t) {
-                    float* ht = h.data() + static_cast<std::size_t>(t) *
-                                               static_cast<std::size_t>(hidden);
-                    if (t > 0) {
-                        be.linear_acc(cell.w,
-                                      h.data() + static_cast<std::size_t>(t - 1) *
-                                                     static_cast<std::size_t>(hidden),
-                                      1, ht);
-                    }
-                    for (int d = 0; d < hidden; ++d) ht[d] = std::tanh(ht[d]);
-                }
-                seq = std::move(h);
+        ctx.assign(fused_ptr, fused_ptr + rows * embed);
+        for (const InferencePlan::RnnCell& cell : plan->rnn) {
+            std::vector<float> h(rows * hidden);
+            be.linear(cell.u, ctx.data(), n, h.data());
+            for (std::size_t t = 0; t < rows; ++t) {
+                float* ht = h.data() + t * hidden;
+                if (t > 0) be.linear_acc(cell.w, ht - hidden, 1, ht);
+                for (std::size_t d = 0; d < hidden; ++d) ht[d] = std::tanh(ht[d]);
             }
-            std::memcpy(ctx.data() + static_cast<std::size_t>(start[c]) *
-                                         static_cast<std::size_t>(hidden),
-                        seq.data(),
-                        static_cast<std::size_t>(n) * static_cast<std::size_t>(hidden) *
-                            sizeof(float));
+            ctx = std::move(h);
         }
     } else {
-        be.linear(plan->proj, fused_ptr, total, ctx.data());
+        ctx.resize(rows * hidden);
+        be.linear(plan->proj, fused_ptr, n, ctx.data());
         relu_inplace(ctx.data(), ctx.size());
     }
 
-    // Stage 4: the action head as one wide GEMM, then split per clip.
-    std::vector<float> logits(static_cast<std::size_t>(total) *
-                              static_cast<std::size_t>(rl::kNumActions));
-    be.linear(plan->head, ctx.data(), total, logits.data());
-
-    std::vector<nn::Tensor> out;
-    out.reserve(clips.size());
-    for (std::size_t c = 0; c < clips.size(); ++c) {
-        const int n = clips[c].graph->n;
-        nn::Tensor t({n, rl::kNumActions});
-        std::memcpy(t.data().data(),
-                    logits.data() + static_cast<std::size_t>(start[c]) *
-                                        static_cast<std::size_t>(rl::kNumActions),
-                    static_cast<std::size_t>(n) * static_cast<std::size_t>(rl::kNumActions) *
-                        sizeof(float));
-        out.push_back(std::move(t));
-    }
-    return out;
+    // Stage 4: the action head as one GEMM straight into the logits.
+    nn::Tensor logits({n, rl::kNumActions});
+    be.linear(plan->head, ctx.data(), n, logits.data().data());
+    return logits;
 }
 
 nn::Tensor PolicyNetwork::run_forward(const std::vector<nn::Tensor>& features,
@@ -450,7 +385,7 @@ bool PolicyNetwork::load(const std::string& path) {
     const bool ok = nn::load_params(path, params());
     // Repack eagerly on a successful load: a freshly deserialized network is
     // (in the serving paths) about to run inference, and packing here keeps
-    // the first batched wave's latency flat.
+    // the first infer() call's latency flat.
     if (ok) (void)ensure_plan();
     return ok;
 }

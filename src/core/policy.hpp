@@ -14,7 +14,6 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 
 #include "common/rng.hpp"
@@ -52,29 +51,14 @@ public:
     /// Inference-only forward through the packed-weight backend
     /// (nn::backend.hpp): weights are repacked once per version into blocked
     /// SIMD layouts and the forward runs through the active kernel table.
+    /// The CNN/SAGE/head matmuls run as one multi-row GEMM over the node set
+    /// (the RNN stays sequential).
     /// Under the scalar backend (CAMO_BACKEND=scalar) the result is bitwise
     /// identical to forward(); under a vector backend it differs by ULP
     /// rounding only. Thread-safe on a const (frozen) network. No backward()
     /// may follow.
     [[nodiscard]] nn::Tensor infer(const std::vector<nn::Tensor>& features,
                                    const Graph& graph) const;
-
-    /// One clip awaiting an action in a batched inference wave.
-    struct ClipRequest {
-        const std::vector<nn::Tensor>* features = nullptr;
-        const Graph* graph = nullptr;
-    };
-
-    /// Batched policy evaluation (the DynaPlex SetAction idiom): evaluate
-    /// every clip's node set in one pass, concatenating nodes across clips so
-    /// the CNN/SAGE/head matmuls run as wide GEMMs instead of per-node GEMVs
-    /// (the RNN stays per-clip — it is sequential by construction). Per-row
-    /// accumulation order is independent of batch composition, so clip c's
-    /// logits are bitwise identical to infer(*clips[c].features,
-    /// *clips[c].graph) on every backend. Returns one [n_c, 5] logits tensor
-    /// per clip.
-    [[nodiscard]] std::vector<nn::Tensor> infer_batch(
-        std::span<const ClipRequest> clips) const;
 
     /// Invalidate the cached packed-weight plan after an out-of-band weight
     /// mutation (e.g. an optimizer step through pointers obtained earlier

@@ -130,6 +130,8 @@ public:
     WindowMetrics evaluate_window_full(const geo::SegmentedLayout& layout,
                                        std::span<const int> offsets, const WindowSpec& spec);
 
+    /// Evaluations that reused the cache (no-change reuse or sparse delta
+    /// update) vs. full rebuilds.
     [[nodiscard]] long long incremental_count() const { return incremental_count_; }
     [[nodiscard]] long long full_count() const { return full_count_; }
 

@@ -97,6 +97,7 @@ void store_kernel_cache(const LithoConfig& cfg, const CachedKernels& kernels) {
         w.write_f64(kernels.threshold);
         write_kernel_set(w, kernels.nominal);
         write_kernel_set(w, kernels.defocus);
+        w.close();
         if (!w.ok()) {
             std::filesystem::remove(tmp, ec);
             return;

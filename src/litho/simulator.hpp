@@ -123,8 +123,12 @@ public:
         return evaluate_count_.load(std::memory_order_relaxed);
     }
 
-    /// evaluate_incremental() calls served by the sparse delta path vs. by a
-    /// full rebuild (cache miss, large dirty set, or the no-dirty overload).
+    /// Incremental evaluations (nominal and window) that reused the cache —
+    /// either no segment moved (the cached result is returned as is) or the
+    /// sparse delta path patched the spectrum — vs. those that ran a full
+    /// rebuild (cache miss, large dirty set, or the no-dirty overload). A
+    /// "hit" therefore includes no-change reuse; only the litho.delta_dft
+    /// span count tells how many ran the sparse path.
     [[nodiscard]] long long incremental_hit_count() const;
     [[nodiscard]] long long incremental_full_count() const;
 

@@ -1,5 +1,11 @@
 #include "nn/serialize.hpp"
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <stdexcept>
+#include <system_error>
+
 #include "common/file_io.hpp"
 
 namespace camo::nn {
@@ -9,14 +15,33 @@ constexpr std::uint32_t kVersion = 1;
 }  // namespace
 
 void save_params(const std::string& path, const std::vector<Parameter*>& params) {
-    BinaryWriter w(path);
-    w.write_u32(kMagic);
-    w.write_u32(kVersion);
-    w.write_u64(params.size());
-    for (const Parameter* p : params) {
-        w.write_u64(p->value.shape().size());
-        for (int d : p->value.shape()) w.write_u32(static_cast<std::uint32_t>(d));
-        for (float v : p->value.data()) w.write_f32(v);
+    // Write to a process-unique temp file, then rename into place: rename is
+    // atomic on POSIX, so a full disk or two concurrent first runs never
+    // leave a torn weights file at `path`.
+    const std::string tmp =
+        path + ".tmp." + std::to_string(static_cast<unsigned long>(::getpid()));
+    std::error_code ec;
+    try {
+        BinaryWriter w(tmp);
+        w.write_u32(kMagic);
+        w.write_u32(kVersion);
+        w.write_u64(params.size());
+        for (const Parameter* p : params) {
+            w.write_u64(p->value.shape().size());
+            for (int d : p->value.shape()) w.write_u32(static_cast<std::uint32_t>(d));
+            for (float v : p->value.data()) w.write_f32(v);
+        }
+        w.close();
+        if (!w.ok()) throw std::runtime_error("write failed: " + tmp);
+    } catch (...) {
+        std::filesystem::remove(tmp, ec);
+        throw;
+    }
+    std::filesystem::rename(tmp, path, ec);
+    if (ec) {
+        const std::string why = ec.message();
+        std::filesystem::remove(tmp, ec);
+        throw std::runtime_error("cannot rename " + tmp + " -> " + path + ": " + why);
     }
 }
 

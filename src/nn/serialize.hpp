@@ -9,6 +9,10 @@
 
 namespace camo::nn {
 
+/// Writes a process-unique temp file next to `path` and renames it into
+/// place, so `path` only ever holds a complete file. Throws
+/// std::runtime_error (leaving `path` untouched) when the file cannot be
+/// created, written or renamed.
 void save_params(const std::string& path, const std::vector<Parameter*>& params);
 
 /// Returns false (leaving params untouched) if the file is missing or the

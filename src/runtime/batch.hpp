@@ -85,7 +85,7 @@ struct BatchResult {
     double wall_s = 0.0;            ///< end-to-end batch wall time
     double throughput_cps = 0.0;    ///< successful clips per second
     long long litho_evaluations = 0;
-    long long incremental_hits = 0;   ///< evaluations served by the sparse delta path
+    long long incremental_hits = 0;   ///< cache reuse: no-change or sparse delta update
     long long incremental_fulls = 0;  ///< evaluate_incremental calls that ran full
     int failed = 0;
     double sum_initial_epe = 0.0;
@@ -153,7 +153,7 @@ struct StreamStats {
     int failed = 0;     ///< delivered results with a non-empty error
     double wall_s = 0.0;
     long long litho_evaluations = 0;
-    long long incremental_hits = 0;   ///< evaluations served by the sparse delta path
+    long long incremental_hits = 0;   ///< cache reuse: no-change or sparse delta update
     long long incremental_fulls = 0;  ///< evaluate_incremental calls that ran full
 };
 
@@ -195,19 +195,6 @@ public:
     BatchResult run_camo(const std::vector<geo::SegmentedLayout>& clips,
                          const core::CamoEngine& engine,
                          const std::vector<std::string>& names = {});
-
-    /// CAMO batch through the batched inference path: instead of one thread
-    /// per clip, all clips advance in lockstep waves on the calling thread
-    /// and each wave issues ONE batched policy forward
-    /// (CamoEngine::infer_batch) over every clip awaiting an action. Per-clip
-    /// results are identical to run_camo()'s on the same backend — the same
-    /// per-job splitmix seeds drive stochastic action sampling — so this is a
-    /// throughput knob for the policy-bound regime (many small clips), not a
-    /// semantic switch. BatchResult::threads reports 1: the litho evaluation
-    /// is serial here, only the policy math is batched.
-    BatchResult run_camo_batched(const std::vector<geo::SegmentedLayout>& clips,
-                                 const core::CamoEngine& engine,
-                                 const std::vector<std::string>& names = {});
 
 private:
     BatchOptions opt_;

@@ -65,7 +65,8 @@ TEST(CliRobustness, BatchFlags) {
     expect_usage_exit("batch --seed 99999999999999999999999");  // u64 overflow
     expect_usage_exit("batch --iterations 0");
     expect_usage_exit("batch --engine bogus");
-    expect_usage_exit("batch --batched --engine rule");  // batched is camo-only
+    expect_usage_exit("batch --batched --engine rule");  // removed flag: unknown
+    expect_usage_exit("batch --batched --engine camo");  // removed flag: unknown
     expect_usage_exit("batch --doses 1.0");              // sweep-only flag
     expect_usage_exit("batch --no-such-flag");
 }

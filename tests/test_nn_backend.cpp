@@ -1,17 +1,18 @@
 // Inference-backend equivalence suite (PR 9).
 //
-// Pins the two contracts the SIMD/batched backend ships under:
+// Pins the two contracts the SIMD backend ships under:
 //
 //  * kernel equivalence — the vector kernels compute the same sums as the
 //    scalar reference with a different rounding schedule, so outputs agree
 //    to a small relative tolerance (fuzzed here over random shapes), and a
-//    batched call is BITWISE identical to the same rows issued one at a
+//    multi-row call is BITWISE identical to the same rows issued one at a
 //    time on every backend (row accumulation order is row-independent);
-//  * action identity — end to end, the SIMD and batched inference paths
-//    select exactly the actions the scalar single-row path selects, on
-//    every registered scenario and every reward mode. Integer offsets make
-//    this an exact equality check, which is what lets CAMO_BACKEND default
-//    to the fastest level without perturbing any golden result.
+//  * action identity — end to end, the SIMD inference path selects exactly
+//    the actions the scalar path selects: on every registered scenario
+//    (nominal argmax), and through the batch runtime under every reward mode
+//    with argmax and with stochastic sampling. Integer offsets make this an
+//    exact equality check, which is what lets CAMO_BACKEND default to the
+//    fastest level without perturbing any golden result.
 //
 // On a build or CPU without vector kernels (CAMO_SIMD=OFF, pre-AVX2 x86)
 // ScopedOverride clips to scalar and the comparisons degrade to
@@ -226,28 +227,11 @@ TEST(PolicyBackend, SimdSelectsIdenticalActionsOnEveryScenario) {
     }
 }
 
-TEST(PolicyBackend, BatchedMatchesSingleOnEveryScenario) {
-    const core::CamoEngine engine = make_engine();
-    for (const std::string& name : scenario::Registry::instance().names()) {
-        const scenario::Scenario sc = scenario::Registry::instance().get(name);
-        const std::vector<geo::SegmentedLayout> layouts = sc.layouts(2);
-        runtime::BatchOptions bopt;
-        bopt.threads = 1;
-        bopt.opc = quick_opc(sc.style);
-        runtime::BatchScheduler sched(sc.litho, bopt);
-        const runtime::BatchResult single = sched.run_camo(layouts, engine);
-        const runtime::BatchResult batched = sched.run_camo_batched(layouts, engine);
-        ASSERT_EQ(single.clips.size(), batched.clips.size()) << name;
-        for (std::size_t i = 0; i < single.clips.size(); ++i) {
-            EXPECT_EQ(single.clips[i].error, batched.clips[i].error) << name;
-            EXPECT_EQ(single.clips[i].offsets, batched.clips[i].offsets) << name;
-            EXPECT_EQ(single.clips[i].iterations, batched.clips[i].iterations) << name;
-            EXPECT_EQ(single.clips[i].final_epe, batched.clips[i].final_epe) << name;
-        }
-    }
-}
-
-TEST(PolicyBackend, BatchedMatchesSingleAcrossRewardModesAndSampling) {
+TEST(PolicyBackend, SimdMatchesScalarAcrossRewardModesAndSampling) {
+    // The batch runtime's CAMO path (run_camo: one infer() per clip on the
+    // worker pool) under every reward mode, with argmax and with stochastic
+    // per-job sampling: the SIMD backend must pick exactly the scalar
+    // backend's actions, so offsets and iteration counts match exactly.
     const core::CamoEngine engine = make_engine();
     const scenario::Scenario sc =
         scenario::Registry::instance().get(scenario::Registry::instance().names().front());
@@ -261,13 +245,22 @@ TEST(PolicyBackend, BatchedMatchesSingleAcrossRewardModesAndSampling) {
             bopt.opc = quick_opc(sc.style);
             bopt.opc.objective = mode;
             runtime::BatchScheduler sched(sc.litho, bopt);
-            const runtime::BatchResult single = sched.run_camo(layouts, engine);
-            const runtime::BatchResult batched = sched.run_camo_batched(layouts, engine);
-            ASSERT_EQ(single.clips.size(), batched.clips.size());
-            for (std::size_t i = 0; i < single.clips.size(); ++i) {
-                EXPECT_EQ(single.clips[i].offsets, batched.clips[i].offsets)
+            runtime::BatchResult scalar_res;
+            runtime::BatchResult simd_res;
+            {
+                simd::ScopedOverride force(simd::Level::kScalar);
+                scalar_res = sched.run_camo(layouts, engine);
+            }
+            {
+                simd::ScopedOverride force(simd::detected_level());
+                simd_res = sched.run_camo(layouts, engine);
+            }
+            ASSERT_EQ(scalar_res.clips.size(), simd_res.clips.size());
+            EXPECT_EQ(scalar_res.failed, 0);
+            for (std::size_t i = 0; i < scalar_res.clips.size(); ++i) {
+                EXPECT_EQ(scalar_res.clips[i].offsets, simd_res.clips[i].offsets)
                     << rl::reward_mode_name(mode) << " stochastic=" << stochastic;
-                EXPECT_EQ(single.clips[i].iterations, batched.clips[i].iterations)
+                EXPECT_EQ(scalar_res.clips[i].iterations, simd_res.clips[i].iterations)
                     << rl::reward_mode_name(mode) << " stochastic=" << stochastic;
             }
         }

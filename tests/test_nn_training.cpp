@@ -3,8 +3,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 
 #include "common/rng.hpp"
 #include "nn/activations.hpp"
@@ -409,6 +411,14 @@ TEST(Serialize, RejectsTrailingBytes) {
     }
     EXPECT_FALSE(load_params(path, b.params()));
     std::remove(path.c_str());
+}
+
+TEST(Serialize, SaveIntoMissingDirectoryThrows) {
+    const std::string path = testing::TempDir() + "camo_no_such_dir/weights.bin";
+    Rng rng(18);
+    Linear a(2, 2, rng);
+    EXPECT_THROW(save_params(path, a.params()), std::runtime_error);
+    EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST(Serialize, MissingFileReturnsFalse) {

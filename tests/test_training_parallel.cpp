@@ -5,6 +5,7 @@
 // keep the weight cache compatible across worker counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -403,6 +404,40 @@ TEST(TrainingParallel, EnsureTrainedRoundTripAcrossWorkerCounts) {
     EXPECT_EQ(0, std::memcmp(&r8.final_metrics.sum_abs_epe, &r1.final_metrics.sum_abs_epe,
                              sizeof(double)));
     std::remove(cache.c_str());
+}
+
+// A weights store that fails (here: the cache path's parent is a regular
+// file) is logged, not thrown, and the freshly trained weights stay loaded.
+TEST(TrainingParallel, EnsureTrainedKeepsWeightsWhenStoreFails) {
+    const auto clips = small_via_clips(1);
+    const opc::OpcOptions opt = short_opc_options();
+    CamoConfig cfg = tiny_config();
+    cfg.phase1_epochs = 1;
+    cfg.phase2_episodes = 0;
+    cfg.name = "camo-store-fail";
+
+    const std::string blocker = testing::TempDir() + "rt_weights_blocker";
+    { std::ofstream(blocker) << "not a directory"; }
+    const std::string cache = blocker + "/weights.bin";
+
+    litho::LithoSim sim(test_litho_config());
+    CamoEngine trainer(cfg);
+    bool cached = true;
+    EXPECT_NO_THROW(cached = ensure_trained(trainer, clips, sim, opt, cache));
+    EXPECT_FALSE(cached);
+
+    CamoEngine untrained(cfg);
+    const auto trained_params = trainer.policy().params();
+    const auto fresh_params = untrained.policy().params();
+    ASSERT_EQ(trained_params.size(), fresh_params.size());
+    bool moved = false;
+    for (std::size_t i = 0; i < trained_params.size() && !moved; ++i) {
+        const auto a = trained_params[i]->value.data();
+        const auto b = fresh_params[i]->value.data();
+        moved = !std::equal(a.begin(), a.end(), b.begin());
+    }
+    EXPECT_TRUE(moved) << "trained weights were discarded";
+    std::remove(blocker.c_str());
 }
 
 // The lockstep phase-2 trainer under a window objective: traces stay

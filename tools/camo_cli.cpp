@@ -66,14 +66,9 @@
 // Batch mode runs the parallel runtime over a generated via-clip stream and
 // prints per-clip results plus aggregate throughput:
 //
-//   camo_cli batch [--clips N] [--threads N] [--engine rule|camo] [--batched]
+//   camo_cli batch [--clips N] [--threads N] [--engine rule|camo]
 //                  [--seed S] [--iterations N] [--train-workers N]
 //                  [--reward-mode M] [--window] [--quiet]
-//
-// --batched (camo engine only) routes the batch through the lockstep batched
-// inference path: every wave issues one policy forward over all clips
-// awaiting actions instead of one forward per clip. Results are identical to
-// the threaded path on the same backend.
 //
 // Sweep mode is batch mode plus a multi-corner process-window evaluation of
 // every corrected mask (defaults to the standard {dose_min, 1, dose_max} x
@@ -299,7 +294,6 @@ struct BatchCliOptions {
     bool quiet = false;
     ObsCliOptions obs;
     bool window = false;             // sweep mode / batch --window
-    bool batched = false;            // camo: lockstep batched policy inference
     std::vector<double> doses;       // empty = standard window
     std::vector<double> focuses_nm;  // empty = standard window
 };
@@ -325,8 +319,6 @@ bool parse_batch_args(int argc, char** argv, BatchCliOptions& o) {
             if (!flag_int_min("--iterations", v, 1, o.iterations)) return false;
         } else if (a == "--train-workers" && next(v)) {
             if (!flag_int("--train-workers", v, o.train_workers)) return false;
-        } else if (a == "--batched") {
-            o.batched = true;
         } else if (a == "--reward-mode" && next(v)) {
             if (!parse_reward_mode(v, o.reward_mode)) {
                 std::fprintf(stderr, "unknown reward mode: %s\n", v.c_str());
@@ -355,10 +347,6 @@ bool parse_batch_args(int argc, char** argv, BatchCliOptions& o) {
         std::fprintf(stderr, "--engine: expected rule or camo, got '%s'\n", o.engine.c_str());
         return false;
     }
-    if (o.batched && o.engine != "camo") {
-        std::fprintf(stderr, "--batched requires --engine camo\n");
-        return false;
-    }
     return true;
 }
 
@@ -368,7 +356,7 @@ int batch_main(int argc, char** argv, bool window) {
     if (!parse_batch_args(argc, argv, cli)) {
         std::fprintf(stderr,
                      "usage: camo_cli %s [--clips N] [--threads N] [--engine rule|camo]"
-                     " [--batched] [--seed S] [--iterations N] [--train-workers N]"
+                     " [--seed S] [--iterations N] [--train-workers N]"
                      " [--reward-mode nominal|worst|weighted]"
                      " [--quiet] [--log-level quiet|info|debug]"
                      " [--metrics-json PATH] [--trace PATH]%s\n",
@@ -423,8 +411,7 @@ int batch_main(int argc, char** argv, bool window) {
             layout::via_training_set(core::Experiment::kDatasetSeed));
         core::ensure_trained(engine, train, train_sim, opt.opc,
                              core::Experiment::weights_path(cfg, "via", cli.reward_mode));
-        res = cli.batched ? scheduler.run_camo_batched(clips, engine, names)
-                          : scheduler.run_camo(clips, engine, names);
+        res = scheduler.run_camo(clips, engine, names);
     }
 
     if (cli.window || cli.reward_mode != rl::RewardMode::kNominal) {
